@@ -13,11 +13,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 use resildb_sql::{parse_statement, ColumnSet};
+use resildb_telemetry::json::{self, Json};
 
 use crate::conflict::ConflictGraph;
-use crate::jsonish::{parse_json, JsonValue};
 use crate::profile::profiles_from_groups;
-use crate::report::escape_json;
 use crate::{infer_derivable_columns, SchemaSnapshot};
 
 /// The blast radius of one profile.
@@ -173,8 +172,8 @@ impl BlastRadius {
         for (i, p) in profiles.iter().enumerate() {
             let _ = write!(
                 out,
-                "    {{\"name\": \"{}\", \"statements\": {}, \"parse_failures\": {}, \"reads\": {}, \"writes\": {}}}",
-                escape_json(&p.name),
+                "    {{\"name\": {}, \"statements\": {}, \"parse_failures\": {}, \"reads\": {}, \"writes\": {}}}",
+                json::escape(&p.name),
                 p.statements,
                 p.parse_failures,
                 render_reads_json(&p.reads),
@@ -187,7 +186,7 @@ impl BlastRadius {
             .graph
             .derivable()
             .iter()
-            .map(|(t, cols)| format!("\"{}\": {}", escape_json(t), render_str_set(cols)))
+            .map(|(t, cols)| format!("{}: {}", json::escape(t), render_str_set(cols)))
             .collect();
         out.push_str(&derivable.join(", "));
         out.push_str("},\n  \"edges\": [\n");
@@ -196,12 +195,12 @@ impl BlastRadius {
             .edges()
             .map(|e| {
                 format!(
-                    "    {{\"dependent\": \"{}\", \"dependee\": \"{}\", \"tables\": [{}], \"pruned\": {}}}",
-                    escape_json(&e.dependent),
-                    escape_json(&e.dependee),
+                    "    {{\"dependent\": {}, \"dependee\": {}, \"tables\": [{}], \"pruned\": {}}}",
+                    json::escape(&e.dependent),
+                    json::escape(&e.dependee),
                     e.tables()
                         .iter()
-                        .map(|t| format!("\"{}\"", escape_json(t)))
+                        .map(|t| json::escape(t))
                         .collect::<Vec<_>>()
                         .join(", "),
                     e.pruned,
@@ -215,8 +214,8 @@ impl BlastRadius {
             .iter()
             .map(|(name, c)| {
                 format!(
-                    "    \"{}\": {{\"profiles\": {}, \"surface\": {}, \"unpruned\": {}}}",
-                    escape_json(name),
+                    "    {}: {{\"profiles\": {}, \"surface\": {}, \"unpruned\": {}}}",
+                    json::escape(name),
                     render_str_set(&c.profiles),
                     render_str_set(&c.surface),
                     c.unpruned,
@@ -237,7 +236,7 @@ impl BlastRadius {
     /// lists staleness (baseline entries that shrank or disappeared,
     /// a prompt to regenerate).
     pub fn check_baseline(&self, baseline: &str) -> Result<BaselineVerdict, String> {
-        let doc = parse_json(baseline).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
+        let doc = json::parse(baseline).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
         let closures = doc
             .get("closures")
             .unwrap_or(&doc)
@@ -307,7 +306,7 @@ impl BaselineVerdict {
     }
 }
 
-fn baseline_set(entry: &JsonValue, field: &str) -> Option<BTreeSet<String>> {
+fn baseline_set(entry: &Json, field: &str) -> Option<BTreeSet<String>> {
     entry
         .get(field)?
         .as_array()?
@@ -331,17 +330,14 @@ fn render_colset_json(c: &ColumnSet) -> String {
 }
 
 fn render_str_set(set: &BTreeSet<String>) -> String {
-    let items: Vec<String> = set
-        .iter()
-        .map(|s| format!("\"{}\"", escape_json(s)))
-        .collect();
+    let items: Vec<String> = set.iter().map(|s| json::escape(s)).collect();
     format!("[{}]", items.join(", "))
 }
 
 fn render_reads_json(reads: &BTreeMap<String, ColumnSet>) -> String {
     let items: Vec<String> = reads
         .iter()
-        .map(|(t, c)| format!("\"{}\": {}", escape_json(t), render_colset_json(c)))
+        .map(|(t, c)| format!("{}: {}", json::escape(t), render_colset_json(c)))
         .collect();
     format!("{{{}}}", items.join(", "))
 }
@@ -351,8 +347,8 @@ fn render_writes_json(writes: &BTreeMap<String, crate::profile::WriteFootprint>)
         .iter()
         .map(|(t, fp)| {
             format!(
-                "\"{}\": {{\"updated\": {}, \"inserts\": {}, \"deletes\": {}}}",
-                escape_json(t),
+                "{}: {{\"updated\": {}, \"inserts\": {}, \"deletes\": {}}}",
+                json::escape(t),
                 fp.updated
                     .as_ref()
                     .map_or("null".to_string(), render_colset_json),
@@ -428,7 +424,7 @@ mod tests {
     fn json_report_parses_and_gates_itself() {
         let b = compute();
         let json = b.render_json();
-        let doc = parse_json(&json).expect("report JSON must parse");
+        let doc = json::parse(&json).expect("report JSON must parse");
         assert!(doc.get("closures").is_some());
         let verdict = b.check_baseline(&json).unwrap();
         assert!(verdict.passed(), "{:?}", verdict.errors);

@@ -1,8 +1,8 @@
 //! Shared GraphViz DOT emission.
 //!
 //! One builder behind every DOT export in the workspace — the repair
-//! tool's dependency-graph renderings (`DepGraph::to_dot_styled`,
-//! `Analysis::to_dot_forensic`) and the static conflict-graph exporter
+//! tool's dependency-graph renderings (`DepGraph::to_dot_styled`, used
+//! by `TraceExplorer::to_dot`) and the static conflict-graph exporter
 //! here — so the styling vocabulary (attack red, closure orange, pruned
 //! dashed gray) is defined once and the outputs stay byte-compatible
 //! with the formats the explorer tools and tests already consume.

@@ -31,7 +31,6 @@ mod columns;
 mod conflict;
 mod derive;
 mod dot;
-mod jsonish;
 mod profile;
 mod report;
 mod verdict;
@@ -44,9 +43,8 @@ pub use columns::{is_tracking_column, COLUMN_TRID_PREFIX, IDENTITY_COLUMN, TRID_
 pub use conflict::{ConflictGraph, ConflictKind, ConflictProvenance, ProfileEdge};
 pub use derive::{infer_derivable_columns, DerivableColumn};
 pub use dot::{DotBuilder, EdgeStyle, FILL_ATTACK, FILL_CLOSURE};
-pub use jsonish::{parse_json, JsonValue};
 pub use profile::{group_transactions, profiles_from_groups, TxnProfile, WriteFootprint};
-pub use report::{escape_json, CoverageReport, StatementReport};
+pub use report::{CoverageReport, StatementReport};
 // Re-exported so profile consumers can inspect footprints without a
 // direct dependency on the SQL crate.
 pub use resildb_sql::ColumnSet;

@@ -133,11 +133,6 @@ impl TxnProfile {
             self.writes.entry(table.clone()).or_default().merge(fp);
         }
     }
-
-    /// Whether the profile writes anywhere.
-    pub fn writes_rows(&self) -> bool {
-        !self.writes.is_empty()
-    }
 }
 
 /// Builds one profile per distinct group name, merging groups that share

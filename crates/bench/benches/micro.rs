@@ -275,29 +275,6 @@ fn bench_telemetry(c: &mut Criterion) {
     });
 }
 
-fn bench_sampler(c: &mut Criterion) {
-    use resildb_core::{MetricsSnapshot, Sampler};
-
-    // The disabled sampler path an embedder pays when the endpoint is off:
-    // sample_with must return after one relaxed atomic load without ever
-    // invoking the snapshot closure. Within noise of
-    // telemetry_span_disabled / failpoint_check_disarmed.
-    let disabled = Sampler::new(64);
-    assert!(!disabled.is_enabled());
-    c.bench_function("sampler_disabled", |b| {
-        b.iter(|| {
-            disabled.sample_with(|| {
-                unreachable!("disabled sampler must not snapshot");
-            })
-        })
-    });
-    let enabled = Sampler::new(64);
-    enabled.set_enabled(true);
-    c.bench_function("sampler_enabled", |b| {
-        b.iter(|| enabled.sample_with(MetricsSnapshot::default))
-    });
-}
-
 fn bench_page_compaction(c: &mut Criterion) {
     use resildb_engine::{Page, RowId};
     c.bench_function("page_delete_with_migration", |b| {
@@ -323,6 +300,6 @@ fn bench_page_compaction(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_sql, bench_rewrite, bench_rewrite_cache, bench_engine, bench_tracked_path, bench_repair_analysis, bench_failpoints, bench_enforcement, bench_telemetry, bench_sampler, bench_page_compaction
+    targets = bench_sql, bench_rewrite, bench_rewrite_cache, bench_engine, bench_tracked_path, bench_repair_analysis, bench_failpoints, bench_enforcement, bench_telemetry, bench_page_compaction
 );
 criterion_main!(benches);

@@ -20,6 +20,7 @@
 use resildb_bench::fig4::{render, run_probed, Cell, Scale};
 use resildb_bench::json::{self, Probe};
 use resildb_bench::threads::{self, thread_counts, ThreadCell};
+use resildb_core::telemetry::json::{escape, number};
 
 fn cells_json(cells: &[Cell]) -> String {
     let items: Vec<String> = cells
@@ -29,13 +30,13 @@ fn cells_json(cells: &[Cell]) -> String {
                 "{{\"flavor\":{},\"networked\":{},\"read_intensive\":{},\
                  \"large_footprint\":{},\"base_tps\":{},\"proxy_tps\":{},\
                  \"overhead_pct\":{}}}",
-                json::json_str(c.flavor.name()),
+                escape(c.flavor.name()),
                 c.networked,
                 c.read_intensive,
                 c.large_footprint,
-                json::json_f64(c.base_tps),
-                json::json_f64(c.proxy_tps),
-                json::json_f64(c.overhead_pct()),
+                number(c.base_tps),
+                number(c.proxy_tps),
+                number(c.overhead_pct()),
             )
         })
         .collect();
@@ -56,10 +57,10 @@ fn scaling_json(cells: &[ThreadCell]) -> String {
                 "{{\"threads\":{},\"base_tps\":{},\"proxy_tps\":{},\
                  \"overhead_pct\":{},\"base_scaling\":{}}}",
                 c.threads,
-                json::json_f64(c.base_tps),
-                json::json_f64(c.proxy_tps),
-                json::json_f64(c.overhead_pct()),
-                json::json_f64(scaling),
+                number(c.base_tps),
+                number(c.proxy_tps),
+                number(c.overhead_pct()),
+                number(scaling),
             )
         })
         .collect();

@@ -8,6 +8,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use resildb_bench::fig5::Point;
 use resildb_bench::json::{self, Probe};
+use resildb_core::telemetry::json::number;
 
 fn points_json(points: &[Point]) -> String {
     let items: Vec<String> = points
@@ -20,9 +21,9 @@ fn points_json(points: &[Point]) -> String {
                 p.w,
                 p.t_detect,
                 p.rolled_back_all,
-                json::json_f64(p.saved_pct_all),
+                number(p.saved_pct_all),
                 p.rolled_back_filtered,
-                json::json_f64(p.saved_pct_filtered),
+                number(p.saved_pct_filtered),
             )
         })
         .collect();

@@ -21,6 +21,7 @@ use std::sync::Arc;
 
 use resildb_bench::json::{self, Probe};
 use resildb_bench::mttr::{lock_slot, LiveMttrPoint, MttrPoint, ObserveSlot};
+use resildb_core::telemetry::json::{escape, number};
 use resildb_core::{MetricsServer, MetricsSnapshot, ServerRoutes};
 
 fn points_json(points: &[MttrPoint]) -> String {
@@ -35,7 +36,7 @@ fn points_json(points: &[MttrPoint]) -> String {
                 p.selective_repair.as_micros(),
                 p.compensating_statements,
                 p.restore_and_replay.as_micros(),
-                json::json_f64(p.speedup()),
+                number(p.speedup()),
             )
         })
         .collect();
@@ -53,7 +54,13 @@ fn timeline_json(p: &LiveMttrPoint) -> String {
     let marks: Vec<String> = incident
         .marks
         .iter()
-        .map(|m| format!("{{\"phase\":\"{}\",\"at_ns\":{}}}", m.phase.name(), m.at_ns))
+        .map(|m| {
+            format!(
+                "{{\"phase\":{},\"at_ns\":{}}}",
+                escape(m.phase.name()),
+                m.at_ns
+            )
+        })
         .collect();
     format!(
         "{{\"incident\":{},\"marks\":[{}],\"mttd_ns\":{},\"mttc_ns\":{},\
@@ -81,7 +88,7 @@ fn live_points_json(points: &[LiveMttrPoint]) -> String {
                 p.attempted,
                 p.served,
                 p.fenced,
-                json::json_f64(p.availability()),
+                number(p.availability()),
                 p.fenced_tables,
                 p.fenced_rows,
                 p.extension_rounds,

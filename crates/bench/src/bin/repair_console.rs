@@ -15,8 +15,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use std::io::{BufRead, Write as _};
 
-use resildb_core::WhatIfSession;
-use resildb_core::{FalseDepRule, Flavor, LinkProfile, ProxyConfig, SimContext, Value};
+use resildb_core::{FalseDepRule, Flavor, LinkProfile, ProxyConfig, RepairPlan, SimContext, Value};
 use resildb_tpcc::{Attack, AttackKind, Mix, TpccConfig, TpccRunner, ATTACK_LABEL};
 
 const HELP: &str = "\
@@ -73,7 +72,7 @@ fn main() {
 
     let tool = resildb_core::RepairController::new(db.clone());
     let analysis = tool.analyze().expect("analyze");
-    let mut session = WhatIfSession::new(&analysis);
+    let mut plan = RepairPlan::default();
     // Pre-seed with the known attack so `closure` is interesting at once.
     let mut s = db.session();
     if let Some(row) = s
@@ -85,11 +84,11 @@ fn main() {
         .first()
     {
         if let Value::Int(attack) = row[0] {
-            session.add_initial(attack);
+            plan.add_initial(&analysis, attack);
             println!("demo database ready; attack transaction is txn {attack}");
         }
     }
-    println!("{}", session.summary());
+    println!("{}", plan.summary(&analysis));
     println!("type `help` for commands");
 
     let stdin = std::io::stdin();
@@ -107,7 +106,7 @@ fn main() {
             ["quit"] | ["exit"] => break,
             ["list"] => {
                 for txn in analysis.tracked_transactions() {
-                    let marker = if session.undo_set().contains(&txn) {
+                    let marker = if plan.undo_set.contains(&txn) {
                         " [undo]"
                     } else {
                         ""
@@ -116,44 +115,42 @@ fn main() {
                 }
             }
             ["closure"] => {
-                let undo = session.undo_set();
-                println!("undo set ({}): {undo:?}", undo.len());
-                println!("{}", session.summary());
+                println!("undo set ({}): {:?}", plan.undo_set.len(), plan.undo_set);
+                println!("{}", plan.summary(&analysis));
             }
-            ["dot"] => print!("{}", session.to_dot()),
+            ["dot"] => print!("{}", plan.to_dot(&analysis)),
             ["seed", id] => with_id(id, |id| {
-                session.add_initial(id);
+                plan.add_initial(&analysis, id);
             }),
             ["unseed", id] => with_id(id, |id| {
-                session.remove_initial(id);
+                plan.remove_initial(&analysis, id);
             }),
             ["ignore-table", t] => {
-                session.add_rule(FalseDepRule::IgnoreTable(t.to_string()));
-                println!("{}", session.summary());
+                plan.add_rule(&analysis, FalseDepRule::IgnoreTable(t.to_string()));
+                println!("{}", plan.summary(&analysis));
             }
             ["ignore-cols", t, cols] => {
-                session.add_rule(FalseDepRule::IgnoreDerivedColumns {
-                    table: t.to_string(),
-                    columns: cols.split(',').map(str::to_string).collect(),
-                });
-                println!("{}", session.summary());
+                plan.add_rule(
+                    &analysis,
+                    FalseDepRule::IgnoreDerivedColumns {
+                        table: t.to_string(),
+                        columns: cols.split(',').map(str::to_string).collect(),
+                    },
+                );
+                println!("{}", plan.summary(&analysis));
             }
             ["clear-rules"] => {
-                session.clear_rules();
-                println!("{}", session.summary());
+                plan.clear_rules(&analysis);
+                println!("{}", plan.summary(&analysis));
             }
             ["include", id] => with_id(id, |id| {
-                session.force_include(id);
+                plan.force_include(&analysis, id);
             }),
             ["exclude", id] => with_id(id, |id| {
-                session.force_exclude(id);
+                plan.force_exclude(&analysis, id);
             }),
             ["repair"] => {
-                let undo = session.undo_set();
-                match tool.execute(
-                    &analysis,
-                    &resildb_core::RepairPlan::with_undo_set(&[], undo),
-                ) {
+                match tool.execute(&analysis, &plan) {
                     Ok(report) => println!(
                         "repaired: {} compensating statements, {}/{} transactions saved",
                         report.outcome.statements.len(),

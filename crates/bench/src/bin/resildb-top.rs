@@ -23,6 +23,8 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use resildb_core::telemetry::json;
+
 /// One HTTP GET against the endpoint: returns (status-code, body).
 fn http_get(addr: &str, path: &str) -> Result<(u16, String), String> {
     let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
@@ -59,21 +61,15 @@ fn metric(body: &str, name: &str) -> Option<f64> {
     })
 }
 
-/// Crude count of incidents in the `/incidents` JSON (no parser needed:
-/// every incident object opens with `{"id":`).
-fn incident_count(json: &str) -> usize {
-    json.matches("{\"id\":").count()
-}
-
-/// `wall_ns` of the last decomposition in the `/incidents` JSON.
-fn last_wall_ns(json: &str) -> Option<u64> {
-    let at = json.rfind("\"wall_ns\":")?;
-    json[at + "\"wall_ns\":".len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .ok()
+/// Incident count and the latest incident's `wall_ns` from the
+/// `/incidents` JSON document; `None` when the body does not parse.
+fn incident_summary(body: &str) -> Option<(usize, Option<u64>)> {
+    let doc = json::parse(body).ok()?;
+    let incidents = doc.get("incidents")?.as_array()?;
+    let wall = incidents
+        .last()
+        .and_then(|i| i.get("decomposition")?.get("wall_ns")?.as_u64());
+    Some((incidents.len(), wall))
 }
 
 const PHASES: [&str; 7] = [
@@ -158,16 +154,19 @@ fn render(addr: &str, frame: &Frame, prev: Option<&(Frame, Instant)>, now: Insta
         metric(m, "resildb_repair_progress_total").unwrap_or(0.0),
         32,
     );
-    let incidents = incident_count(&frame.incidents);
-    let wall = last_wall_ns(&frame.incidents).map_or_else(String::new, |ns| {
-        format!(" (latest wall {:.1} ms)", ns as f64 / 1e6)
-    });
+    let incidents = incident_summary(&frame.incidents).map_or_else(
+        || "? (malformed /incidents body)".to_string(),
+        |(count, wall)| match wall {
+            Some(ns) => format!("{count} (latest wall {:.1} ms)", ns as f64 / 1e6),
+            None => count.to_string(),
+        },
+    );
     format!(
         "resildb-top — http://{addr}/  (ready: {})\n\
          \x20 commits/s: {}   fence rejects/s: {}\n\
          \x20 fence: {} entries   phase: {}   extension rounds: {}\n\
          \x20 repair {}\n\
-         \x20 incidents: {}{}\n",
+         \x20 incidents: {}\n",
         if frame.ready { "yes" } else { "NO" },
         fmt_rate(commits),
         fmt_rate(rejects),
@@ -176,7 +175,6 @@ fn render(addr: &str, frame: &Frame, prev: Option<&(Frame, Instant)>, now: Insta
         rounds as u64,
         bar,
         incidents,
-        wall,
     )
 }
 
@@ -262,8 +260,9 @@ resildb_repair_progress_total 31\n";
         assert!(bar.starts_with("[####"), "{bar}");
         let json = "{\"incidents\":[{\"id\":1,\"open\":false,\"marks\":[],\
              \"decomposition\":{\"mttd_ns\":1,\"mttc_ns\":2,\"mttr_ns\":3,\"wall_ns\":6}}]}";
-        assert_eq!(incident_count(json), 1);
-        assert_eq!(last_wall_ns(json), Some(6));
+        assert_eq!(incident_summary(json), Some((1, Some(6))));
+        assert_eq!(incident_summary("{\"incidents\":[]}"), Some((0, None)));
+        assert_eq!(incident_summary("{\"incidents\":[{\"id\":"), None);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 use std::cell::RefCell;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use resildb_core::{telemetry::export, telemetry::trace, Connection, MetricsSnapshot, Telemetry};
+use resildb_core::telemetry::{export, json, trace};
+use resildb_core::{Connection, MetricsSnapshot, Telemetry};
 
 /// Default output path of `--json-out` when no explicit path follows.
 pub const DEFAULT_JSON_PATH: &str = "BENCH_pr4.json";
@@ -87,13 +88,13 @@ impl RunMeta {
     /// Renders the meta block as a JSON object.
     pub fn to_json(&self) -> String {
         let proxy = match &self.proxy_config {
-            Some(s) => json_str(s),
+            Some(s) => json::escape(s),
             None => "null".to_string(),
         };
         format!(
             "{{\"git_sha\":{},\"timestamp_utc\":{},\"proxy_config\":{proxy}}}",
-            json_str(&self.git_sha),
-            json_str(&self.timestamp_utc),
+            json::escape(&self.git_sha),
+            json::escape(&self.timestamp_utc),
         )
     }
 }
@@ -223,7 +224,8 @@ pub fn write_report(
     meta: &RunMeta,
 ) -> std::io::Result<()> {
     let doc = format!(
-        "{{\"bench\":\"{bench}\",\"meta\":{},\"results\":{results},\"metrics\":{}}}\n",
+        "{{\"bench\":{},\"meta\":{},\"results\":{results},\"metrics\":{}}}\n",
+        json::escape(bench),
         meta.to_json(),
         export::to_json(snapshot)
     );
@@ -243,34 +245,6 @@ pub fn write_trace(path: &str, snapshot: &trace::TraceSnapshot) -> std::io::Resu
         trace::to_chrome_trace(snapshot)
     };
     std::fs::write(path, doc)
-}
-
-/// Escapes a string for inclusion in hand-rolled JSON.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats an `f64` as a JSON number (non-finite values render as `0`).
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
 }
 
 #[cfg(test)]
@@ -317,9 +291,11 @@ mod tests {
 
     #[test]
     fn json_helpers_escape_and_format() {
-        assert_eq!(json_str("a\"b"), "\"a\\\"b\"");
-        assert_eq!(json_f64(f64::NAN), "0");
-        assert_eq!(json_f64(1.5), "1.5");
+        let meta = RunMeta::collect(Some("a\"b\\".into()));
+        let parsed = json::parse(&meta.to_json()).unwrap();
+        assert_eq!(parsed.get("proxy_config").unwrap().as_str(), Some("a\"b\\"));
+        assert_eq!(json::number(f64::NAN), "0");
+        assert_eq!(json::escape("é\n"), "\"é\\n\"");
     }
 
     #[test]

@@ -127,8 +127,7 @@ pub fn run_point_probed(t_detect: usize, probe: Option<&Probe>) -> MttrPoint {
             other => panic!("attack missing: {other:?}"),
         }
     };
-    let undo = analysis.undo_set(&[attack], &crate::fig5::ytd_rules());
-    let plan = resildb_core::RepairPlan::with_undo_set(&[attack], undo);
+    let plan = resildb_core::RepairPlan::new(&analysis, &[attack], &crate::fig5::ytd_rules());
     let report = tool.execute(&analysis, &plan).expect("repair");
     let selective_repair = bench.db.sim().clock().now() - t0;
     if let Some(probe) = probe {
@@ -379,16 +378,6 @@ pub fn run_live_point_observed(
         undo_set: report.undo_set.len(),
         incident: rdb.telemetry().timeline().snapshot().pop(),
     }
-}
-
-/// Runs the live-availability sweep.
-pub fn run_live(t_detects: &[usize]) -> Vec<LiveMttrPoint> {
-    run_live_probed(t_detects, None)
-}
-
-/// Runs the live-availability sweep with an optional shared probe.
-pub fn run_live_probed(t_detects: &[usize], probe: Option<&Probe>) -> Vec<LiveMttrPoint> {
-    run_live_observed(t_detects, probe, None)
 }
 
 /// Runs the live-availability sweep, publishing each point into

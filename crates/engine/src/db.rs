@@ -432,11 +432,6 @@ impl Session {
         self.txn.as_ref().is_some_and(|t| t.explicit)
     }
 
-    /// The open transaction's internal id, if any.
-    pub fn current_txn(&self) -> Option<InternalTxnId> {
-        self.txn.as_ref().map(|t| t.id)
-    }
-
     /// Parses and executes one SQL statement.
     ///
     /// # Errors

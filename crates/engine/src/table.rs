@@ -456,22 +456,6 @@ impl Table {
     pub fn read_page_bytes(&self, page: u64, offset: usize, len: usize) -> Option<&[u8]> {
         self.pages.get(page as usize)?.read_at(offset, len)
     }
-
-    /// Current slot of `rowid` (page + offset), for diagnostics and tests.
-    pub fn locate(&self, rowid: RowId) -> Option<RowLocation> {
-        let &page_no = self.directory.get(&rowid)?;
-        let slot = self.pages[page_no as usize].slot_of(rowid)?;
-        Some(RowLocation {
-            page: page_no,
-            offset: slot.offset,
-            len: slot.len,
-        })
-    }
-
-    /// All live row ids (unordered).
-    pub fn row_ids(&self) -> Vec<RowId> {
-        self.directory.keys().copied().collect()
-    }
 }
 
 /// Appends an order-preserving encoding of `v`: byte-wise comparison of

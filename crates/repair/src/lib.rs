@@ -64,8 +64,7 @@ mod whatif;
 
 pub use compensate::{CompensatingStatement, CompensationOutcome};
 pub use controller::{
-    Analysis, LiveRepairStats, RepairController, RepairMode, RepairOptions, RepairPlan,
-    RepairReport,
+    Analysis, LiveRepairStats, RepairController, RepairMode, RepairOptions, RepairReport,
 };
 pub use correlate::TxnCorrelation;
 pub use detect::{detect, AnomalyRule, Detection};
@@ -74,7 +73,7 @@ pub use explore::{CausalChain, TraceExplorer};
 pub use graph::{DepGraph, EdgeKind, EdgeProvenance, FalseDepRule};
 pub use progress::{RepairPhase, RepairProgress};
 pub use record::{NamedRow, RepairOp, RepairRecord, RowAddress};
-pub use whatif::WhatIfSession;
+pub use whatif::RepairPlan;
 
 /// Whether `name` is one of the proxy's tracking tables (their rows are
 /// bookkeeping, not user data).

@@ -1,25 +1,30 @@
-//! Interactive "what if" exploration of the damage perimeter — the
-//! full-scale interactive repair tool the paper's §6 plans ("allows a DBA
-//! to interact with the transaction dependency graph ... and explore the
-//! damage perimeter by conducting what-if analysis"), as a programmatic
-//! session the CLI/GUI layers can wrap.
+//! The repair plan: the DBA's decisions about what to undo.
 //!
-//! A session holds the DBA's evolving decisions — the initial attack set,
-//! active false-dependency rules, and manual inclusions/exclusions — and
-//! recomputes the undo set after every change.
+//! The paper's §6 plans an interactive tool that "allows a DBA to
+//! interact with the transaction dependency graph ... and explore the
+//! damage perimeter by conducting what-if analysis". A [`RepairPlan`] is
+//! that what-if state: the initial attack set, the active
+//! false-dependency rules (§5.3), and manual inclusions and exclusions.
+//! The undo set is derived from those decisions. Every edit recomputes
+//! it, and a live repair re-derives it from each fresh analysis behind
+//! the fence.
 
 use std::collections::BTreeSet;
 
 use crate::controller::Analysis;
 use crate::graph::FalseDepRule;
 
-/// An interactive what-if session over one [`Analysis`].
+/// The DBA's repair decisions and the undo set they select.
+///
+/// Built by [`crate::RepairController::plan`] (seeded with the
+/// controller's rules), by [`RepairPlan::new`], or empty via `default()`;
+/// edited between planning and [`crate::RepairController::execute`].
+/// Every edit takes the [`Analysis`] the plan is being explored against.
 ///
 /// # Examples
 ///
 /// ```
-/// use resildb_core::{Flavor, ResilientDb};
-/// use resildb_repair::WhatIfSession;
+/// use resildb_core::{Flavor, RepairPlan, ResilientDb};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let rdb = ResilientDb::new(Flavor::Postgres)?;
@@ -32,57 +37,62 @@ use crate::graph::FalseDepRule;
 /// let attack = rdb.txn_id_by_label("attack")?.unwrap();
 ///
 /// let analysis = rdb.analyze()?;
-/// let mut session = WhatIfSession::new(&analysis);
-/// session.add_initial(attack);
-/// assert!(session.undo_set().contains(&attack));
+/// let mut plan = RepairPlan::default();
+/// plan.add_initial(&analysis, attack);
+/// assert!(plan.undo_set.contains(&attack));
+/// rdb.repair_controller().execute(&analysis, &plan)?;
+/// assert_eq!(rdb.database().row_count("t")?, 0);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
-pub struct WhatIfSession<'a> {
-    analysis: &'a Analysis,
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RepairPlan {
     initial: BTreeSet<i64>,
     rules: Vec<FalseDepRule>,
     force_include: BTreeSet<i64>,
     force_exclude: BTreeSet<i64>,
+    /// The proxy transactions to undo: the decisions applied to the
+    /// analysis the plan was built or last edited against. It is derived;
+    /// change it through the edit methods, never directly.
+    pub undo_set: BTreeSet<i64>,
 }
 
-impl<'a> WhatIfSession<'a> {
-    /// Starts a session with an empty attack set and no rules.
-    pub fn new(analysis: &'a Analysis) -> Self {
-        Self {
-            analysis,
-            initial: BTreeSet::new(),
-            rules: Vec::new(),
-            force_include: BTreeSet::new(),
-            force_exclude: BTreeSet::new(),
-        }
+impl RepairPlan {
+    /// A plan undoing the damage closure of `initial` under `rules`.
+    pub fn new(analysis: &Analysis, initial: &[i64], rules: &[FalseDepRule]) -> Self {
+        let mut plan = Self {
+            initial: initial.iter().copied().collect(),
+            rules: rules.to_vec(),
+            ..Self::default()
+        };
+        plan.undo_set = plan.undo_set_for(analysis);
+        plan
     }
 
     /// Adds a transaction to the initial attack set.
-    pub fn add_initial(&mut self, txn: i64) -> &mut Self {
+    pub fn add_initial(&mut self, analysis: &Analysis, txn: i64) -> &mut Self {
         self.initial.insert(txn);
-        self
+        self.refresh(analysis)
     }
 
     /// Removes a transaction from the initial attack set.
-    pub fn remove_initial(&mut self, txn: i64) -> &mut Self {
+    pub fn remove_initial(&mut self, analysis: &Analysis, txn: i64) -> &mut Self {
         self.initial.remove(&txn);
-        self
+        self.refresh(analysis)
     }
 
     /// Activates a false-dependency rule.
-    pub fn add_rule(&mut self, rule: FalseDepRule) -> &mut Self {
+    pub fn add_rule(&mut self, analysis: &Analysis, rule: FalseDepRule) -> &mut Self {
         if !self.rules.contains(&rule) {
             self.rules.push(rule);
         }
-        self
+        self.refresh(analysis)
     }
 
     /// Deactivates every rule.
-    pub fn clear_rules(&mut self) -> &mut Self {
+    pub fn clear_rules(&mut self, analysis: &Analysis) -> &mut Self {
         self.rules.clear();
-        self
+        self.refresh(analysis)
     }
 
     /// Activates [`FalseDepRule::IgnoreDerivedColumns`] rules built from
@@ -90,38 +100,46 @@ impl<'a> WhatIfSession<'a> {
     /// table), the machine-checked replacement for hand-written DBA rules.
     pub fn add_inferred_rules(
         &mut self,
+        analysis: &Analysis,
         derivable: &[resildb_analyze::DerivableColumn],
     ) -> &mut Self {
         for rule in FalseDepRule::from_derivable_columns(derivable) {
-            self.add_rule(rule);
+            if !self.rules.contains(&rule) {
+                self.rules.push(rule);
+            }
         }
-        self
+        self.refresh(analysis)
     }
 
     /// Forces a transaction into the undo set regardless of dependency
     /// analysis — the DBA's remedy for the §3.1 false-*negative* cases
     /// (dependencies the tracker cannot see, like the service-fee
-    /// example).
-    pub fn force_include(&mut self, txn: i64) -> &mut Self {
+    /// example). Its dependents are undone too.
+    pub fn force_include(&mut self, analysis: &Analysis, txn: i64) -> &mut Self {
         self.force_exclude.remove(&txn);
         self.force_include.insert(txn);
-        self
+        self.refresh(analysis)
     }
 
     /// Forces a transaction (and only it — its dependents remain judged
     /// by the graph) out of the undo set: the remedy for false positives
     /// the rules cannot express.
-    pub fn force_exclude(&mut self, txn: i64) -> &mut Self {
+    pub fn force_exclude(&mut self, analysis: &Analysis, txn: i64) -> &mut Self {
         self.force_include.remove(&txn);
         self.force_exclude.insert(txn);
-        self
+        self.refresh(analysis)
     }
 
     /// Clears a manual decision for `txn`.
-    pub fn clear_override(&mut self, txn: i64) -> &mut Self {
+    pub fn clear_override(&mut self, analysis: &Analysis, txn: i64) -> &mut Self {
         self.force_include.remove(&txn);
         self.force_exclude.remove(&txn);
-        self
+        self.refresh(analysis)
+    }
+
+    /// The initial attack set.
+    pub fn initial(&self) -> &BTreeSet<i64> {
+        &self.initial
     }
 
     /// The active rules.
@@ -129,52 +147,46 @@ impl<'a> WhatIfSession<'a> {
         &self.rules
     }
 
-    /// The current initial attack set.
-    pub fn initial(&self) -> &BTreeSet<i64> {
-        &self.initial
-    }
-
-    /// Recomputes the undo set under the current decisions: graph closure
-    /// of the initial set (and of forced inclusions — their dependents are
-    /// corrupted too) under the rules, minus forced exclusions.
-    pub fn undo_set(&self) -> BTreeSet<i64> {
-        let mut seeds: Vec<i64> = self.initial.iter().copied().collect();
-        seeds.extend(self.force_include.iter().copied());
-        let mut set = self.analysis.graph.closure(&seeds, &self.rules);
-        for t in &self.force_exclude {
-            set.remove(t);
-        }
+    /// The undo set these decisions select in `analysis`: the closure of
+    /// the initial set and the forced inclusions under the rules, minus
+    /// the forced exclusions.
+    pub fn undo_set_for(&self, analysis: &Analysis) -> BTreeSet<i64> {
+        let seeds: Vec<i64> = self.initial.union(&self.force_include).copied().collect();
+        let mut set = analysis.undo_set(&seeds, &self.rules);
+        set.retain(|t| !self.force_exclude.contains(t));
         set
     }
 
-    /// The transactions saved under the current decisions.
-    pub fn saved_set(&self) -> BTreeSet<i64> {
-        let undo = self.undo_set();
-        self.analysis
+    /// The tracked transactions the plan keeps.
+    pub fn saved_set(&self, analysis: &Analysis) -> BTreeSet<i64> {
+        analysis
             .tracked_transactions()
             .into_iter()
-            .filter(|t| !undo.contains(t))
+            .filter(|t| !self.undo_set.contains(t))
             .collect()
     }
 
-    /// Renders the graph with the current undo set highlighted
-    /// (paper Figure 3, driven interactively).
-    pub fn to_dot(&self) -> String {
-        self.analysis.to_dot(&self.undo_set())
+    /// Renders the graph with the undo set highlighted (paper Figure 3,
+    /// driven interactively).
+    pub fn to_dot(&self, analysis: &Analysis) -> String {
+        analysis.to_dot(&self.undo_set)
     }
 
     /// A one-line summary for interactive display.
-    pub fn summary(&self) -> String {
-        let undo = self.undo_set();
-        let tracked = self.analysis.tracked_transactions().len();
+    pub fn summary(&self, analysis: &Analysis) -> String {
         format!(
             "undo {} of {} tracked txns ({} rules, {} manual includes, {} manual excludes)",
-            undo.len(),
-            tracked,
+            self.undo_set.len(),
+            analysis.tracked_transactions().len(),
             self.rules.len(),
             self.force_include.len(),
             self.force_exclude.len()
         )
+    }
+
+    fn refresh(&mut self, analysis: &Analysis) -> &mut Self {
+        self.undo_set = self.undo_set_for(analysis);
+        self
     }
 }
 
@@ -185,8 +197,9 @@ mod tests {
     use resildb_proxy::{prepare_database, ProxyConfig, TrackingProxy};
     use resildb_wire::{Driver, LinkProfile, NativeDriver};
 
-    /// Three transactions: attack → dependent reader; one independent.
-    fn scenario() -> (Database, i64, i64, i64) {
+    /// Runs `setup`, then each labelled transaction, through a tracking
+    /// proxy; returns the database and the transactions' proxy ids.
+    fn history(setup: &[&str], txns: &[(&str, &[&str])]) -> (Database, Vec<i64>) {
         let db = Database::in_memory(Flavor::Postgres);
         let native = NativeDriver::new(db.clone(), LinkProfile::local());
         prepare_database(&mut *native.connect().unwrap()).unwrap();
@@ -195,64 +208,73 @@ mod tests {
             .build();
         let driver = TrackingProxy::single_proxy(db.clone(), LinkProfile::local(), config);
         let mut conn = driver.connect().unwrap();
-        conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
-            .unwrap();
-        for (label, stmts) in [
-            ("attack", vec!["INSERT INTO t (id, v) VALUES (1, 666)"]),
-            (
-                "dependent",
-                vec![
-                    "SELECT v FROM t WHERE id = 1",
-                    "INSERT INTO t (id, v) VALUES (2, 1)",
-                ],
-            ),
-            ("independent", vec!["INSERT INTO t (id, v) VALUES (3, 3)"]),
-        ] {
+        for sql in setup {
+            conn.execute(sql).unwrap();
+        }
+        for (label, stmts) in txns {
             conn.execute(&format!("ANNOTATE {label}")).unwrap();
             conn.execute("BEGIN").unwrap();
-            for s in stmts {
-                conn.execute(s).unwrap();
+            for sql in *stmts {
+                conn.execute(sql).unwrap();
             }
             conn.execute("COMMIT").unwrap();
         }
-        let id = |label: &str| {
-            let mut s = db.session();
-            match s
-                .query(&format!("SELECT tr_id FROM annot WHERE descr = '{label}'"))
-                .unwrap()
-                .rows[0][0]
-            {
-                Value::Int(v) => v,
-                ref other => panic!("{other:?}"),
-            }
-        };
-        let (a, d, i) = (id("attack"), id("dependent"), id("independent"));
-        (db, a, d, i)
+        let mut s = db.session();
+        let ids = txns
+            .iter()
+            .map(|(label, _)| {
+                let sql = format!("SELECT tr_id FROM annot WHERE descr = '{label}'");
+                match s.query(&sql).unwrap().rows[0][0] {
+                    Value::Int(v) => v,
+                    ref other => panic!("{other:?}"),
+                }
+            })
+            .collect();
+        drop(s);
+        (db, ids)
+    }
+
+    /// Three transactions: attack → dependent reader; one independent.
+    fn scenario() -> (Analysis, i64, i64, i64) {
+        let (db, ids) = history(
+            &["CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)"],
+            &[
+                ("attack", &["INSERT INTO t (id, v) VALUES (1, 666)"]),
+                (
+                    "dependent",
+                    &[
+                        "SELECT v FROM t WHERE id = 1",
+                        "INSERT INTO t (id, v) VALUES (2, 1)",
+                    ],
+                ),
+                ("independent", &["INSERT INTO t (id, v) VALUES (3, 3)"]),
+            ],
+        );
+        let analysis = crate::RepairController::new(db).analyze().unwrap();
+        (analysis, ids[0], ids[1], ids[2])
     }
 
     #[test]
     fn closure_recomputes_after_each_decision() {
-        let (db, attack, dependent, independent) = scenario();
-        let analysis = crate::RepairController::new(db).analyze().unwrap();
-        let mut wi = WhatIfSession::new(&analysis);
-        assert!(wi.undo_set().is_empty());
-        wi.add_initial(attack);
-        assert_eq!(wi.undo_set(), [attack, dependent].into_iter().collect());
-        assert!(wi.saved_set().contains(&independent));
-        wi.remove_initial(attack);
-        assert!(wi.undo_set().is_empty());
+        let (analysis, attack, dependent, independent) = scenario();
+        let mut plan = RepairPlan::default();
+        assert!(plan.undo_set.is_empty());
+        plan.add_initial(&analysis, attack);
+        assert_eq!(plan.undo_set, [attack, dependent].into_iter().collect());
+        assert!(plan.saved_set(&analysis).contains(&independent));
+        plan.remove_initial(&analysis, attack);
+        assert!(plan.undo_set.is_empty());
     }
 
     #[test]
     fn force_include_pulls_in_dependents_too() {
-        let (db, attack, dependent, independent) = scenario();
-        let analysis = crate::RepairController::new(db).analyze().unwrap();
-        let mut wi = WhatIfSession::new(&analysis);
+        let (analysis, attack, dependent, independent) = scenario();
+        let mut plan = RepairPlan::default();
         // The DBA knows `attack` is bad but starts from the independent
         // one; forcing the attack in also drags its dependent in.
-        wi.add_initial(independent);
-        wi.force_include(attack);
-        let undo = wi.undo_set();
+        plan.add_initial(&analysis, independent);
+        plan.force_include(&analysis, attack);
+        let undo = plan.undo_set.clone();
         assert!(undo.contains(&attack));
         assert!(undo.contains(&dependent));
         assert!(undo.contains(&independent));
@@ -260,64 +282,43 @@ mod tests {
 
     #[test]
     fn force_exclude_spares_a_single_transaction() {
-        let (db, attack, dependent, _) = scenario();
-        let analysis = crate::RepairController::new(db).analyze().unwrap();
-        let mut wi = WhatIfSession::new(&analysis);
-        wi.add_initial(attack);
-        wi.force_exclude(dependent);
-        let undo = wi.undo_set();
+        let (analysis, attack, dependent, _) = scenario();
+        let mut plan = RepairPlan::default();
+        plan.add_initial(&analysis, attack);
+        plan.force_exclude(&analysis, dependent);
+        let undo = plan.undo_set.clone();
         assert!(undo.contains(&attack));
         assert!(!undo.contains(&dependent));
-        wi.clear_override(dependent);
-        assert!(wi.undo_set().contains(&dependent));
+        plan.clear_override(&analysis, dependent);
+        assert!(plan.undo_set.contains(&dependent));
     }
 
     #[test]
     fn include_and_exclude_are_mutually_exclusive() {
-        let (db, attack, _, _) = scenario();
-        let analysis = crate::RepairController::new(db).analyze().unwrap();
-        let mut wi = WhatIfSession::new(&analysis);
-        wi.force_exclude(attack);
-        wi.force_include(attack);
-        assert!(wi.undo_set().contains(&attack), "last decision wins");
-        wi.force_exclude(attack);
-        assert!(!wi.undo_set().contains(&attack));
+        let (analysis, attack, _, _) = scenario();
+        let mut plan = RepairPlan::default();
+        plan.force_exclude(&analysis, attack);
+        plan.force_include(&analysis, attack);
+        assert!(plan.undo_set.contains(&attack), "last decision wins");
+        plan.force_exclude(&analysis, attack);
+        assert!(!plan.undo_set.contains(&attack));
     }
 
     #[test]
     fn summary_and_dot_render() {
-        let (db, attack, _, _) = scenario();
-        let analysis = crate::RepairController::new(db).analyze().unwrap();
-        let mut wi = WhatIfSession::new(&analysis);
-        wi.add_initial(attack);
-        assert!(wi.summary().contains("undo 2 of 3"));
-        assert!(wi.to_dot().contains("fillcolor"));
+        let (analysis, attack, _, _) = scenario();
+        let mut plan = RepairPlan::default();
+        plan.add_initial(&analysis, attack);
+        assert!(plan.summary(&analysis).contains("undo 2 of 3"));
+        assert!(plan.to_dot(&analysis).contains("fillcolor"));
     }
 
     #[test]
     fn inferred_derivable_columns_shrink_the_undo_set() {
         // End to end: the static analyzer infers `warehouse.w_ytd` from the
-        // workload's own statements, the session consumes the inference via
+        // workload's own statements, the plan consumes the inference via
         // `add_inferred_rules`, and the Payment→New-Order row-level false
         // dependency disappears from the undo set.
-        let db = Database::in_memory(Flavor::Postgres);
-        let native = NativeDriver::new(db.clone(), LinkProfile::local());
-        prepare_database(&mut *native.connect().unwrap()).unwrap();
-        let driver = TrackingProxy::single_proxy(db.clone(), LinkProfile::local(), {
-            ProxyConfig::builder(Flavor::Postgres)
-                .record_read_only_deps(true)
-                .build()
-        });
-        let mut conn = driver.connect().unwrap();
-        conn.execute(
-            "CREATE TABLE warehouse (w_id INTEGER PRIMARY KEY, w_tax INTEGER, w_ytd INTEGER)",
-        )
-        .unwrap();
-        conn.execute("CREATE TABLE orders (o_id INTEGER PRIMARY KEY, o_w_id INTEGER)")
-            .unwrap();
-        conn.execute("INSERT INTO warehouse (w_id, w_tax, w_ytd) VALUES (1, 7, 0)")
-            .unwrap();
-
         // The application's statement corpus: Payment bumps the year-to-
         // date accumulator, New-Order reads the tax rate from the same row.
         let payment = ["UPDATE warehouse SET w_ytd = w_ytd + 10 WHERE w_id = 1"];
@@ -325,26 +326,15 @@ mod tests {
             "SELECT w_tax FROM warehouse WHERE w_id = 1",
             "INSERT INTO orders (o_id, o_w_id) VALUES (1, 1)",
         ];
-        for (label, stmts) in [("payment", &payment[..]), ("neworder", &neworder[..])] {
-            conn.execute(&format!("ANNOTATE {label}")).unwrap();
-            conn.execute("BEGIN").unwrap();
-            for s in stmts {
-                conn.execute(s).unwrap();
-            }
-            conn.execute("COMMIT").unwrap();
-        }
-        let id = |label: &str| {
-            let mut s = db.session();
-            match s
-                .query(&format!("SELECT tr_id FROM annot WHERE descr = '{label}'"))
-                .unwrap()
-                .rows[0][0]
-            {
-                Value::Int(v) => v,
-                ref other => panic!("{other:?}"),
-            }
-        };
-        let (payment_id, neworder_id) = (id("payment"), id("neworder"));
+        let (db, ids) = history(
+            &[
+                "CREATE TABLE warehouse (w_id INTEGER PRIMARY KEY, w_tax INTEGER, w_ytd INTEGER)",
+                "CREATE TABLE orders (o_id INTEGER PRIMARY KEY, o_w_id INTEGER)",
+                "INSERT INTO warehouse (w_id, w_tax, w_ytd) VALUES (1, 7, 0)",
+            ],
+            &[("payment", &payment), ("neworder", &neworder)],
+        );
+        let (payment_id, neworder_id) = (ids[0], ids[1]);
 
         // Static inference over the same corpus finds the accumulator.
         let corpus: Vec<resildb_sql::Statement> = payment
@@ -359,15 +349,15 @@ mod tests {
         );
 
         let analysis = crate::RepairController::new(db).analyze().unwrap();
-        let mut wi = WhatIfSession::new(&analysis);
-        wi.add_initial(payment_id);
+        let mut plan = RepairPlan::default();
+        plan.add_initial(&analysis, payment_id);
         assert!(
-            wi.undo_set().contains(&neworder_id),
+            plan.undo_set.contains(&neworder_id),
             "row-level tracking makes New-Order depend on Payment"
         );
-        wi.add_inferred_rules(&derivable);
-        assert_eq!(wi.rules().len(), 1);
-        let undo = wi.undo_set();
+        plan.add_inferred_rules(&analysis, &derivable);
+        assert_eq!(plan.rules().len(), 1);
+        let undo = plan.undo_set.clone();
         assert!(undo.contains(&payment_id));
         assert!(
             !undo.contains(&neworder_id),
@@ -377,16 +367,15 @@ mod tests {
 
     #[test]
     fn rules_apply_and_clear() {
-        let (db, attack, _, _) = scenario();
-        let analysis = crate::RepairController::new(db).analyze().unwrap();
-        let mut wi = WhatIfSession::new(&analysis);
-        wi.add_initial(attack);
-        let before = wi.undo_set().len();
-        wi.add_rule(FalseDepRule::IgnoreTable("t".into()));
-        wi.add_rule(FalseDepRule::IgnoreTable("t".into())); // deduped
-        assert_eq!(wi.rules().len(), 1);
-        assert!(wi.undo_set().len() <= before);
-        wi.clear_rules();
-        assert_eq!(wi.undo_set().len(), before);
+        let (analysis, attack, _, _) = scenario();
+        let mut plan = RepairPlan::default();
+        plan.add_initial(&analysis, attack);
+        let before = plan.undo_set.len();
+        plan.add_rule(&analysis, FalseDepRule::IgnoreTable("t".into()));
+        plan.add_rule(&analysis, FalseDepRule::IgnoreTable("t".into())); // deduped
+        assert_eq!(plan.rules().len(), 1);
+        assert!(plan.undo_set.len() <= before);
+        plan.clear_rules(&analysis);
+        assert_eq!(plan.undo_set.len(), before);
     }
 }

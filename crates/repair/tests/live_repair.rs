@@ -8,8 +8,8 @@ use std::collections::BTreeSet;
 use std::panic::AssertUnwindSafe;
 
 use resildb_core::{
-    failpoints, ContainmentPolicy, FaultAction, FaultTrigger, FenceAction, Flavor, ResilientDb,
-    Value,
+    failpoints, ContainmentPolicy, FaultAction, FaultTrigger, FenceAction, Flavor, RepairPlan,
+    ResilientDb, Value,
 };
 use resildb_proxy::RowFence;
 
@@ -367,4 +367,67 @@ fn static_policy_keeps_whole_tables_fenced() {
     assert!(report.live.is_some());
     assert_eq!(balances(&rdb), vec![(1, 100.0), (2, 50.0), (3, 76.0)]);
     assert_eq!(rdb.metrics().gauge("repair.live.fence_size"), Some(0.0));
+}
+
+/// Commits a transaction that reads the poisoned row 1 and inserts
+/// row 4: a dependent of the attack that no earlier analysis saw.
+fn late_reader(rdb: &ResilientDb) {
+    let mut c = rdb.connect().unwrap();
+    for sql in [
+        "ANNOTATE late",
+        "BEGIN",
+        "SELECT bal FROM acct WHERE id = 1",
+        "INSERT INTO acct (id, bal) VALUES (4, 5.0)",
+        "COMMIT",
+    ] {
+        c.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    }
+}
+
+/// The DBA's decisions on `analysis`: undo the attack, spare its
+/// dependent, and undo the unrelated survivor by hand.
+fn edited_plan(rdb: &ResilientDb, analysis: &resildb_core::Analysis) -> RepairPlan {
+    let id = |label: &str| rdb.txn_id_by_label(label).unwrap().unwrap();
+    let mut plan = RepairPlan::new(analysis, &[id("attack")], &[]);
+    plan.force_exclude(analysis, id("dependent"))
+        .force_include(analysis, id("survivor"));
+    plan
+}
+
+#[test]
+fn live_repair_applies_plan_decisions_to_fresh_analysis() {
+    // Quiesced twin: the whole history, then plan and repair.
+    let quiesced = ResilientDb::new(Flavor::Postgres).unwrap();
+    workload(&quiesced);
+    late_reader(&quiesced);
+    let analysis = quiesced.analyze().unwrap();
+    let plan = edited_plan(&quiesced, &analysis);
+    let quiesced_report = quiesced
+        .repair_controller()
+        .execute(&analysis, &plan)
+        .unwrap();
+
+    // Live world: the plan is made before the late reader commits, so
+    // only the fresh analysis behind the fence knows about it.
+    let live = live_rdb();
+    workload(&live);
+    let analysis = live.analyze().unwrap();
+    let plan = edited_plan(&live, &analysis);
+    let survivor = live.txn_id_by_label("survivor").unwrap().unwrap();
+    assert!(plan.undo_set.contains(&survivor));
+    late_reader(&live);
+    let late = live.txn_id_by_label("late").unwrap().unwrap();
+    assert!(!plan.undo_set.contains(&late));
+    let live_report = live
+        .repair_controller_with(live.live_repair_options())
+        .execute(&analysis, &plan)
+        .unwrap();
+
+    assert_eq!(balances(&live), balances(&quiesced));
+    // Attack and survivor undone, the dependent's +10 kept, row 4 gone.
+    assert_eq!(balances(&live), vec![(1, 100.0), (2, 60.0), (3, 75.0)]);
+    assert_eq!(live_report.undo_set, quiesced_report.undo_set);
+    assert!(live_report.undo_set.contains(&late));
+    let dependent = live.txn_id_by_label("dependent").unwrap().unwrap();
+    assert!(!live_report.undo_set.contains(&dependent));
 }

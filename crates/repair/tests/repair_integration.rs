@@ -109,7 +109,7 @@ fn selective_undo_scenario(flavor: Flavor) {
     assert!(!undo.contains(&independent), "unrelated txn must be spared");
 
     let report = tool
-        .execute(&analysis, &RepairPlan::with_undo_set(&[], undo.clone()))
+        .execute(&analysis, &RepairPlan::new(&analysis, &[attack], &[]))
         .unwrap();
     assert_eq!(report.undo_set, undo);
 
@@ -221,7 +221,7 @@ fn sybase_modify_offset_adjustment_with_later_deletes() {
     let analysis = tool.analyze().unwrap();
     let undo = analysis.undo_set(&[attack], &[]);
     assert!(!undo.contains(&cleanup), "cleanup touched other rows only");
-    tool.execute(&analysis, &RepairPlan::with_undo_set(&[], undo.clone()))
+    tool.execute(&analysis, &RepairPlan::new(&analysis, &[attack], &[]))
         .unwrap();
 
     let mut s = fx.db.session();

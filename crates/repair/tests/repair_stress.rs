@@ -131,7 +131,7 @@ fn sybase_offset_adjustment_across_many_pages_and_deletes() {
         !undo.contains(&cleanup),
         "cleanup deleted untouched rows only"
     );
-    tool.execute(&analysis, &RepairPlan::with_undo_set(&[], undo.clone()))
+    tool.execute(&analysis, &RepairPlan::new(&analysis, &[attack], &[]))
         .unwrap();
 
     let mut s = db.session();
@@ -173,7 +173,7 @@ fn deep_dependency_chain_closure_and_repair() {
     let undo = analysis.undo_set(&[t0], &[]);
     assert_eq!(undo.len(), 81, "the whole chain is transitively corrupted");
     let report = tool
-        .execute(&analysis, &RepairPlan::with_undo_set(&[], undo.clone()))
+        .execute(&analysis, &RepairPlan::new(&analysis, &[t0], &[]))
         .unwrap();
     // 81 chain inserts plus each undone transaction's tracking rows.
     assert!(report.outcome.rows_deleted >= 81, "{report:?}");
@@ -201,7 +201,7 @@ fn mid_chain_attack_spares_the_prefix() {
     let undo = analysis.undo_set(&[mid], &[]);
     assert_eq!(undo.len(), 11, "t10..t20");
     RepairController::new(db.clone())
-        .execute(&analysis, &RepairPlan::with_undo_set(&[], undo.clone()))
+        .execute(&analysis, &RepairPlan::new(&analysis, &[mid], &[]))
         .unwrap();
     assert_eq!(db.row_count("chain").unwrap(), 10, "rows 0..9 survive");
 }

@@ -58,8 +58,8 @@ pub use resildb_telemetry as telemetry;
 pub use resildb_telemetry::{
     EventKind, FlightRecorder, HistogramSnapshot, IncidentDecomposition, IncidentMark,
     IncidentPhase, IncidentRecord, IncidentTimeline, MetricsRegistry, MetricsServer,
-    MetricsSnapshot, OwnedSpan, Recorder, Sample, SampleRates, Sampler, SamplerHandle,
-    ServerRoutes, Span, Telemetry, TraceEvent, TraceSnapshot, TraceVerdict,
+    MetricsSnapshot, OwnedSpan, Recorder, ServerRoutes, Span, Telemetry, TraceEvent, TraceSnapshot,
+    TraceVerdict,
 };
 
 use std::cell::Cell;
@@ -194,11 +194,6 @@ impl SimContext {
         self.inner.realtime.store(on, Ordering::Relaxed);
     }
 
-    /// Whether realtime mode is on.
-    pub fn is_realtime(&self) -> bool {
-        self.inner.realtime.load(Ordering::Relaxed)
-    }
-
     /// Sleeps off the calling thread's accrued virtual-time balance (no-op
     /// when nothing is owed or realtime mode is off). Callers must hold no
     /// engine latches: the wire layer invokes this once per statement,
@@ -326,16 +321,6 @@ impl SimContext {
         self.inner.stats.round_trips.add(1);
         self.inner.stats.network_bytes.add(bytes as u64);
         self.tick(rtt + Micros::from_nanos(per_byte_ns * bytes as u64));
-    }
-
-    /// Drops every cached page (e.g. between benchmark phases).
-    pub fn flush_pool(&self) {
-        self.inner.pool.lock().clear();
-    }
-
-    /// Buffer-pool occupancy in pages (for diagnostics).
-    pub fn pool_len(&self) -> usize {
-        self.inner.pool.lock().len()
     }
 }
 

@@ -4,6 +4,7 @@
 //! order, so a text report and a JSON report of one snapshot are
 //! line-for-line comparable; a unit test below enforces the parity.
 
+use crate::json;
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
 
 /// Render a snapshot as a stable, line-oriented text report.
@@ -20,7 +21,7 @@ pub fn to_text(snap: &MetricsSnapshot) -> String {
         out.push_str(&format!("counter {name} {v}\n"));
     }
     for (name, v) in &snap.gauges {
-        out.push_str(&format!("gauge {name} {}\n", format_f64(*v)));
+        out.push_str(&format!("gauge {name} {}\n", json::number(*v)));
     }
     for (name, h) in &snap.histograms {
         out.push_str(&format!(
@@ -43,7 +44,7 @@ pub fn to_json(snap: &MetricsSnapshot) -> String {
     out.push_str("},\"gauges\":{");
     push_entries(
         &mut out,
-        snap.gauges.iter().map(|(k, v)| (k, format_f64(*v))),
+        snap.gauges.iter().map(|(k, v)| (k, json::number(*v))),
     );
     out.push_str("},\"histograms\":{");
     push_entries(
@@ -61,7 +62,7 @@ fn push_entries<'a>(out: &mut String, entries: impl Iterator<Item = (&'a String,
             out.push(',');
         }
         first = false;
-        out.push_str(&json_string(name));
+        out.push_str(&json::escape(name));
         out.push(':');
         out.push_str(&value);
     }
@@ -72,34 +73,6 @@ fn histogram_json(h: &HistogramSnapshot) -> String {
         "{{\"count\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"max_ns\":{},\"sum_ns\":{}}}",
         h.count, h.p50_ns, h.p95_ns, h.p99_ns, h.max_ns, h.sum_ns
     )
-}
-
-/// Escape a string as a JSON string literal.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Format an `f64` as a valid JSON number (finite; NaN/inf become 0).
-pub fn format_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
 }
 
 #[cfg(test)]
@@ -177,7 +150,7 @@ mod tests {
         }
         for (name, value) in &text_pairs {
             // histogram fields appear as "name":{..."field":value...}
-            let direct = format!("{}:{}", json_string(name), value);
+            let direct = format!("{}:{}", json::escape(name), value);
             let nested = name
                 .rsplit_once('.')
                 .map(|(_, field)| format!("\"{field}\":{value}"));
@@ -216,13 +189,27 @@ mod tests {
 
     #[test]
     fn json_escapes_special_characters() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        let mut snap = MetricsSnapshot::default();
+        snap.set_counter("a\"b\\c\n", 1);
+        let json = to_json(&snap);
+        assert!(json.contains("\"a\\\"b\\\\c\\n\":1"), "{json}");
+        let parsed = crate::json::parse(&json).unwrap();
+        assert_eq!(
+            parsed.get("counters").and_then(|c| c.get("a\"b\\c\n")),
+            Some(&crate::json::Json::Num(1.0))
+        );
     }
 
     #[test]
     fn nonfinite_gauges_serialize_as_zero() {
-        assert_eq!(format_f64(f64::NAN), "0");
-        assert_eq!(format_f64(f64::INFINITY), "0");
-        assert_eq!(format_f64(1.5), "1.5");
+        let mut snap = MetricsSnapshot::default();
+        snap.set_gauge("nan", f64::NAN);
+        snap.set_gauge("inf", f64::INFINITY);
+        snap.set_gauge("half", 1.5);
+        assert_eq!(
+            to_json(&snap),
+            "{\"counters\":{},\"gauges\":{\"half\":1.5,\"inf\":0,\"nan\":0},\"histograms\":{}}"
+        );
+        assert_eq!(to_text(&snap), "gauge half 1.5\ngauge inf 0\ngauge nan 0\n");
     }
 }

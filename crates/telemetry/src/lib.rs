@@ -16,10 +16,10 @@
 //!   timelines, exportable as JSONL or Chrome Trace Event Format;
 //! * the live observability plane (DESIGN.md §17):
 //!   [`IncidentTimeline`] phase marks with an MTTD/MTTC/MTTR
-//!   decomposition per incident, a background [`Sampler`] ring with
-//!   delta/rate queries, the [`prometheus`] text-format exporter, and
-//!   the dependency-free [`http`] pull endpoint serving `/metrics`,
-//!   `/health`, `/ready` and `/incidents`.
+//!   decomposition per incident, the [`prometheus`] text-format
+//!   exporter, and the dependency-free [`http`] pull endpoint serving
+//!   `/metrics`, `/health`, `/ready` and `/incidents`;
+//! * [`json`] — the workspace's one JSON reader and writer.
 //!
 //! The span taxonomy threaded through the statement and repair
 //! pipelines lives in [`names`]; see DESIGN.md §11 for the full metric
@@ -45,9 +45,9 @@
 
 pub mod export;
 pub mod http;
+pub mod json;
 mod metrics;
 pub mod prometheus;
-pub mod sampler;
 mod span;
 pub mod timeline;
 pub mod trace;
@@ -58,7 +58,6 @@ pub use metrics::{
     HISTOGRAM_BUCKETS,
 };
 pub use prometheus::to_prometheus;
-pub use sampler::{Sample, SampleRates, Sampler, SamplerHandle, DEFAULT_SAMPLER_CAPACITY};
 pub use span::{OwnedSpan, Recorder, Span, Telemetry};
 pub use timeline::{
     IncidentDecomposition, IncidentMark, IncidentPhase, IncidentRecord, IncidentTimeline,

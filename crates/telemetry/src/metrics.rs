@@ -187,13 +187,6 @@ impl Default for HistogramSnapshot {
     }
 }
 
-impl HistogramSnapshot {
-    /// Mean sample in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> u64 {
-        self.sum_ns.checked_div(self.count).unwrap_or(0)
-    }
-}
-
 /// A registry of named metrics. Handles are `Arc`s, so callers can cache
 /// them and record without touching the registry lock again.
 #[derive(Debug, Default)]

@@ -22,7 +22,7 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::export::json_string;
+use crate::json;
 
 /// One phase mark on an incident timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -273,7 +273,7 @@ pub fn to_json(incidents: &[IncidentRecord]) -> String {
             }
             out.push_str(&format!(
                 "{{\"phase\":{},\"at_ns\":{}}}",
-                json_string(mark.phase.name()),
+                json::escape(mark.phase.name()),
                 mark.at_ns
             ));
         }

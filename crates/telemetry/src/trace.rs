@@ -23,7 +23,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crate::export::json_string;
+use crate::json::{self, Json};
 
 /// Default ring capacity (events) of a [`FlightRecorder`].
 pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
@@ -213,14 +213,14 @@ impl EventKind {
                 verdict.as_str()
             ),
             EventKind::DepHarvested { dep, table } => {
-                format!(",\"dep\":{dep},\"table\":{}", json_string(table))
+                format!(",\"dep\":{dep},\"table\":{}", json::escape(table))
             }
             EventKind::TransDepInsert { deps } => format!(",\"deps\":{deps}"),
             EventKind::WalCommit { internal } | EventKind::WalAbort { internal } => {
                 format!(",\"internal\":{internal}")
             }
             EventKind::FaultHit { failpoint } => {
-                format!(",\"failpoint\":{}", json_string(failpoint))
+                format!(",\"failpoint\":{}", json::escape(failpoint))
             }
             EventKind::LogScan { records } => format!(",\"records\":{records}"),
             EventKind::Correlate { pairs } => format!(",\"pairs\":{pairs}"),
@@ -534,261 +534,16 @@ pub fn to_chrome_trace(snap: &TraceSnapshot) -> String {
 // Capture parsing (for the `resildb-trace` explorer and round-trip tests)
 // ---------------------------------------------------------------------------
 
-/// A minimal parsed JSON value — enough to read back our own captures
-/// without a serde dependency.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Num(n) => Some(*n as i64),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if b.is_ascii_whitespace() {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(Json::Str(self.parse_string()?)),
-            Some(b't') => self.parse_lit("true", Json::Bool(true)),
-            Some(b'f') => self.parse_lit("false", Json::Bool(false)),
-            Some(b'n') => self.parse_lit("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
-        }
-    }
-
-    fn parse_lit(&mut self, lit: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| format!("non-utf8 number: {e}"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|e| format!("bad number {text:?}: {e}"))
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|e| format!("bad \\u escape: {e}"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume the whole run of plain bytes up to the next
-                    // quote or backslash in one go. Both delimiters are
-                    // ASCII, so they can never split a multi-byte UTF-8
-                    // scalar: the run is a valid UTF-8 slice by itself.
-                    let start = self.pos;
-                    while let Some(&b) = self.bytes.get(self.pos) {
-                        if b == b'"' || b == b'\\' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|e| format!("non-utf8 string: {e}"))?;
-                    out.push_str(run);
-                }
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => return Err(format!("expected ',' or ']' in array, found {other:?}")),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                other => return Err(format!("expected ',' or '}}' in object, found {other:?}")),
-            }
-        }
-    }
-}
-
-fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = JsonParser::new(text);
-    let v = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
 fn kind_from_fields(event: &str, detail: &Json) -> Result<EventKind, String> {
     let u64_field = |k: &str| {
         detail
             .get(k)
             .and_then(Json::as_u64)
             .ok_or_else(|| format!("event {event:?} missing field {k:?}"))
+    };
+    let text_field = |k: &str| {
+        let text = detail.get(k).and_then(Json::as_str);
+        text.unwrap_or_default().to_string()
     };
     Ok(match event {
         "txn_begin" => EventKind::TxnBegin,
@@ -810,11 +565,7 @@ fn kind_from_fields(event: &str, detail: &Json) -> Result<EventKind, String> {
                 .get("dep")
                 .and_then(Json::as_i64)
                 .ok_or("dep_harvested missing dep")?,
-            table: detail
-                .get("table")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string(),
+            table: text_field("table"),
         },
         "trans_dep_insert" => EventKind::TransDepInsert {
             deps: u64_field("deps")? as u32,
@@ -826,11 +577,7 @@ fn kind_from_fields(event: &str, detail: &Json) -> Result<EventKind, String> {
             internal: u64_field("internal")?,
         },
         "fault_hit" => EventKind::FaultHit {
-            failpoint: detail
-                .get("failpoint")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string(),
+            failpoint: text_field("failpoint"),
         },
         "log_scan" => EventKind::LogScan {
             records: u64_field("records")?,
@@ -878,7 +625,7 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
         if line.is_empty() {
             continue;
         }
-        let obj = parse_json(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        let obj = json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
         let event = obj
             .get("event")
             .and_then(Json::as_str)
@@ -902,18 +649,17 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
 ///
 /// Malformed JSON or unknown event kinds.
 pub fn parse_chrome_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
-    let doc = parse_json(text)?;
+    let doc = json::parse(text)?;
     let events = match &doc {
         Json::Arr(_) => &doc,
         Json::Obj(_) => doc.get("traceEvents").ok_or("missing traceEvents array")?,
         _ => return Err("expected object or array".into()),
     };
-    let Json::Arr(items) = events else {
-        return Err("traceEvents is not an array".into());
-    };
+    let items = events.as_array().ok_or("traceEvents is not an array")?;
+    let no_args = Json::Obj(Default::default());
     let mut out = Vec::new();
     for (i, item) in items.iter().enumerate() {
-        let args = item.get("args").cloned().unwrap_or(Json::Obj(Vec::new()));
+        let args = item.get("args").unwrap_or(&no_args);
         let event = args
             .get("event")
             .and_then(Json::as_str)
@@ -924,7 +670,7 @@ pub fn parse_chrome_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
             seq: item.get("ts").and_then(Json::as_u64).unwrap_or(0),
             txn: item.get("pid").and_then(Json::as_i64).unwrap_or(0),
             session: item.get("tid").and_then(Json::as_u64).unwrap_or(0),
-            kind: kind_from_fields(&event, &args).map_err(|e| format!("traceEvents[{i}]: {e}"))?,
+            kind: kind_from_fields(&event, args).map_err(|e| format!("traceEvents[{i}]: {e}"))?,
         });
     }
     Ok(out)
@@ -945,7 +691,7 @@ pub fn parse_capture(text: &str) -> Result<Vec<TraceEvent>, String> {
     let Some(first_line) = text.lines().map(str::trim).find(|l| !l.is_empty()) else {
         return Ok(Vec::new());
     };
-    match parse_json(first_line) {
+    match json::parse(first_line) {
         Ok(Json::Arr(_)) => parse_chrome_trace(text),
         Ok(doc) if doc.get("traceEvents").is_some() => parse_chrome_trace(text),
         Ok(_) => parse_jsonl(text),

@@ -125,12 +125,6 @@ impl TpccRunner {
         }
     }
 
-    /// The most recently used annotation label (for locating the txn in
-    /// the dependency graph).
-    pub fn last_label(&self) -> String {
-        format!("seq_{}", self.seq)
-    }
-
     fn pick_wdc(&mut self) -> (u32, u32, u32) {
         let w = self.pick_warehouse();
         let d = self.rng.gen_range(1..=self.config.districts_per_warehouse);

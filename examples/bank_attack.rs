@@ -89,14 +89,11 @@ fn main() -> Result<(), Error> {
          loop to extend the undo set manually."
     );
 
-    // The DBA, understanding the application, adds T2 to the undo set by
-    // hand (the \"what if\" workflow) and repairs.
-    let mut undo = closure.clone();
-    undo.insert(t2);
-    let report = rdb.repair_controller().execute(
-        &analysis,
-        &resildb_core::RepairPlan::with_undo_set(&[], undo),
-    )?;
+    // The DBA, understanding the application, forces T2 into the undo set
+    // by hand (the \"what if\" workflow) and repairs.
+    let mut plan = resildb_core::RepairPlan::new(&analysis, &[t1], &[]);
+    plan.force_include(&analysis, t2);
+    let report = rdb.repair_controller().execute(&analysis, &plan)?;
     println!(
         "manual repair rolled back {} transactions ({} compensating statements)",
         report.undo_set.len(),

@@ -73,7 +73,7 @@ fn main() -> Result<(), Error> {
     let before = w_ytd(&rdb)?;
     let report = rdb.repair_controller().execute(
         &analysis,
-        &resildb_core::RepairPlan::with_undo_set(&[], filtered.clone()),
+        &resildb_core::RepairPlan::new(&analysis, &[attack], &rules),
     )?;
     let after = w_ytd(&rdb)?;
     println!(

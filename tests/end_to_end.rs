@@ -61,7 +61,7 @@ fn tpcc_attack_analysis_and_repair_pipeline() {
     let report = tool
         .execute(
             &analysis,
-            &resildb_core::RepairPlan::with_undo_set(&[], filtered.clone()),
+            &resildb_core::RepairPlan::new(&analysis, &[attack], &rules),
         )
         .unwrap();
     assert!(report.saved > 0, "legitimate work survives: {report:?}");

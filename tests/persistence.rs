@@ -87,10 +87,9 @@ fn repair_still_works_after_reopen() {
         Value::Int(v) => v,
         ref other => panic!("{other:?}"),
     };
-    let undo = analysis.undo_set(&[attack], &[]);
     tool.execute(
         &analysis,
-        &resildb_core::RepairPlan::with_undo_set(&[attack], undo),
+        &resildb_core::RepairPlan::new(&analysis, &[attack], &[]),
     )
     .unwrap();
     let r = s.query("SELECT bal FROM acct ORDER BY id").unwrap();

@@ -137,7 +137,7 @@ fn check_repair_matches_replay(seed: u64, txn_count: usize, attack_idx: usize, f
         .repair_controller()
         .execute(
             &analysis,
-            &resildb_core::RepairPlan::with_undo_set(&[], undo.clone()),
+            &resildb_core::RepairPlan::new(&analysis, &[attack], &[]),
         )
         .unwrap();
 
